@@ -322,13 +322,5 @@ func relMismatch(a, b, tol float64) bool {
 	if math.IsNaN(a) || math.IsNaN(b) {
 		return true
 	}
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	mag := b
-	if mag < 0 {
-		mag = -mag
-	}
-	return d > tol*(1+mag)
+	return math.Abs(a-b) > tol*(1+math.Abs(b))
 }

@@ -8,8 +8,10 @@ import (
 
 // Resolve returns the effective worker count for n independent work
 // items: `requested` when positive, otherwise GOMAXPROCS, and never more
-// than n (a worker per item is the finest useful granularity). n <= 0
-// resolves to 1 so callers can always divide by the result.
+// than n when n > 0 (a worker per item is the finest useful
+// granularity). n <= 0 puts no cap on the count, so Resolve(r, 0)
+// reports the pool size a request would get. The result is always at
+// least 1, so callers can divide by it.
 func Resolve(requested, n int) int {
 	w := requested
 	if w <= 0 {

@@ -18,7 +18,7 @@ func TestResolve(t *testing.T) {
 		{2, 100, 2},
 		{8, 3, 3},
 		{4, 0, 4},
-		{0, 0, 1},
+		{0, 0, maxprocs},
 	}
 	for _, c := range cases {
 		if got := Resolve(c.requested, c.n); got != c.want {
